@@ -64,16 +64,14 @@ def tagless_replay(cht: TaglessCHT, pcs: np.ndarray, collided: np.ndarray,
 def _tagless_replay_once(cht: TaglessCHT, pcs, collided,
                          distances) -> np.ndarray:
     indices = pc_index_arr(pcs, cht.n_entries)
-    max_value = cht._counters[0]._max
-    threshold = cht._counters[0]._threshold
-    initial = np.fromiter((c.value for c in cht._counters),
-                          dtype=np.int64, count=cht.n_entries)
+    table = cht._counters
+    threshold = table.threshold
+    cells = np.frombuffer(table.values, dtype=np.uint8)
     steps = np.where(collided, 1, -1)
     order = np.argsort(indices, kind="stable")
-    before, after, final = clamped_walk(indices, steps, initial, max_value,
+    before, after, final = clamped_walk(indices, steps, cells, table.max,
                                         order=order)
-    for cell, value in zip(cht._counters, final.tolist()):
-        cell.value = value
+    cells[:] = final
 
     # Distance sidecar: min-update on supplied distances, reset to None
     # whenever a train leaves the counter predicting "not colliding".

@@ -33,6 +33,7 @@ from repro.fastpath.indices import (
 from repro.fastpath.scan import clamped_walk, global_history_walk, history_walk
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.chooser import MajorityChooser, WeightedChooser
+from repro.predictors.counters import CounterTable
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.gskew import GSkewPredictor
 from repro.predictors.local import LocalPredictor
@@ -51,19 +52,9 @@ def supports(predictor) -> bool:
     return kind in _LEAF_KERNELS
 
 
-def _table_values(table) -> np.ndarray:
-    return np.fromiter((c.value for c in table), dtype=np.int64,
-                       count=len(table))
-
-
-def _writeback(table, values: np.ndarray) -> None:
-    for cell, value in zip(table, values.tolist()):
-        cell.value = value
-
-
 def _counter_confidence(before: np.ndarray, threshold: int,
                         max_value: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``SaturatingCounter.prediction``/``confidence``.
+    """Vectorized ``CounterTable.prediction``/``confidence``.
 
     Integer-by-integer float64 division matches the scalar Python
     division bit for bit.
@@ -78,17 +69,15 @@ def _counter_confidence(before: np.ndarray, threshold: int,
     return outcome, np.where(outcome, conf_up, conf_lo)
 
 
-def _counter_replay(table, indices: np.ndarray, outcomes: np.ndarray,
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Train a homogeneous counter table along ``indices``; return the
+def _counter_replay(table: CounterTable, indices: np.ndarray,
+                    outcomes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Train a counter table along ``indices`` in place; return the
     per-event (prediction, confidence) read just before each train."""
-    max_value = table[0]._max
-    threshold = table[0]._threshold
+    cells = np.frombuffer(table.values, dtype=np.uint8)
     steps = np.where(outcomes, 1, -1)
-    before, _, final = clamped_walk(indices, steps, _table_values(table),
-                                    max_value)
-    _writeback(table, final)
-    return _counter_confidence(before, threshold, max_value)
+    before, _, final = clamped_walk(indices, steps, cells, table.max)
+    cells[:] = final
+    return _counter_confidence(before, table.threshold, table.max)
 
 
 def _bimodal_replay(pred: BimodalPredictor, pcs: np.ndarray,
@@ -123,9 +112,9 @@ def _gskew_replay(pred: GSkewPredictor, pcs: np.ndarray,
 
     The e-gskew partial update couples the three banks (a dissenting
     bank is left alone only when the *majority* was correct), so the
-    counter evolution is not a per-cell scan; the fixup loop runs over
-    plain Python lists with all indices precomputed, which is still
-    several times cheaper than the full scalar object path.
+    counter evolution is not a per-cell scan; the fixup loop updates the
+    banks' byte buffers in place with all indices precomputed, which is
+    still several times cheaper than the full scalar object path.
     """
     hist_before, hist_final = global_history_walk(
         outcomes, pred._history, pred.history_bits)
@@ -134,9 +123,9 @@ def _gskew_replay(pred: GSkewPredictor, pcs: np.ndarray,
         skew_index_arr(pcs, hist_before, b, pred.bank_entries).tolist()
         for b in range(pred.N_BANKS)
     ]
-    banks = [[cell.value for cell in bank] for bank in pred._banks]
-    max_value = pred._banks[0][0]._max
-    threshold = pred._banks[0][0]._threshold
+    banks = [bank.values for bank in pred._banks]
+    max_value = pred._banks[0].max
+    threshold = pred._banks[0].threshold
     outcome_list = outcomes.tolist()
     n = len(outcome_list)
     out = np.empty(n, dtype=bool)
@@ -157,9 +146,6 @@ def _gskew_replay(pred: GSkewPredictor, pcs: np.ndarray,
                     bank[i] += 1
             elif bank[i] > 0:
                 bank[i] -= 1
-    for bank_cells, values in zip(pred._banks, banks):
-        for cell, value in zip(bank_cells, values):
-            cell.value = value
     return out, conf
 
 

@@ -11,7 +11,7 @@ All predictors speak the same protocol (:class:`BinaryPredictor`):
 """
 
 from repro.predictors.base import BinaryPredictor, Prediction, AlwaysPredictor
-from repro.predictors.counters import SaturatingCounter, StickyBit
+from repro.predictors.counters import CounterTable, SaturatingCounter, StickyBit
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.local import LocalPredictor
 from repro.predictors.gshare import GSharePredictor
@@ -29,6 +29,7 @@ __all__ = [
     "BinaryPredictor",
     "Prediction",
     "AlwaysPredictor",
+    "CounterTable",
     "SaturatingCounter",
     "StickyBit",
     "BimodalPredictor",

@@ -2,11 +2,42 @@
 
 Section 2.1 notes that a 1-bit saturating counter or a sticky bit is
 "enough" for collision prediction; larger counters (the classic 2-bit
-bimodal cell) add hysteresis.  These small classes are the table cells
-of every predictor in the package.
+bimodal cell) add hysteresis.  :class:`CounterTable` packs a whole
+indexed table of such counters into one ``bytearray`` (the bimodal,
+local, gshare and gskew tables, the tagless CHT, the store barrier
+cache); :class:`SaturatingCounter` is the single counter that is one
+field of a per-entry record (full, annotated and address tables).
+Both share the saturating arithmetic below.
 """
 
 from __future__ import annotations
+
+
+def _limits(bits: int, threshold: int | None) -> tuple[int, int]:
+    """Validated (max, threshold) of a ``bits``-wide counter."""
+    if bits < 1:
+        raise ValueError("counter needs at least one bit")
+    max_value = (1 << bits) - 1
+    threshold = (max_value + 1) // 2 if threshold is None else threshold
+    if not 0 < threshold <= max_value:
+        raise ValueError("threshold out of range")
+    return max_value, threshold
+
+
+def _trained(value: int, outcome: bool, max_value: int) -> int:
+    """One saturating step toward ``outcome``."""
+    if outcome:
+        return value + 1 if value < max_value else value
+    return value - 1 if value > 0 else value
+
+
+def _confidence(value: int, threshold: int, max_value: int) -> float:
+    """Distance from the decision boundary, normalised to [0, 1]."""
+    if value >= threshold:
+        span = max_value - threshold
+        return 1.0 if span == 0 else (value - threshold) / span
+    span = threshold - 1
+    return 1.0 if span == 0 else (threshold - 1 - value) / span
 
 
 class SaturatingCounter:
@@ -20,16 +51,11 @@ class SaturatingCounter:
 
     def __init__(self, bits: int = 2, initial: int = 0,
                  threshold: int | None = None) -> None:
-        if bits < 1:
-            raise ValueError("counter needs at least one bit")
-        self.bits = bits
-        self._max = (1 << bits) - 1
+        self._max, self._threshold = _limits(bits, threshold)
         if not 0 <= initial <= self._max:
             raise ValueError("initial value out of range")
+        self.bits = bits
         self.value = initial
-        self._threshold = (self._max + 1) // 2 if threshold is None else threshold
-        if not 0 < self._threshold <= self._max:
-            raise ValueError("threshold out of range")
 
     @property
     def prediction(self) -> bool:
@@ -38,22 +64,14 @@ class SaturatingCounter:
     @property
     def confidence(self) -> float:
         """Distance from the decision boundary, normalised to [0, 1]."""
-        if self.prediction:
-            span = self._max - self._threshold
-            return 1.0 if span == 0 else (self.value - self._threshold) / span
-        span = self._threshold - 1
-        return 1.0 if span == 0 else (self._threshold - 1 - self.value) / span
+        return _confidence(self.value, self._threshold, self._max)
 
     @property
     def is_saturated(self) -> bool:
         return self.value in (0, self._max)
 
     def train(self, outcome: bool) -> None:
-        if outcome:
-            if self.value < self._max:
-                self.value += 1
-        elif self.value > 0:
-            self.value -= 1
+        self.value = _trained(self.value, outcome, self._max)
 
     def reset(self, value: int = 0) -> None:
         if not 0 <= value <= self._max:
@@ -62,6 +80,42 @@ class SaturatingCounter:
 
     def __repr__(self) -> str:
         return f"SaturatingCounter(bits={self.bits}, value={self.value})"
+
+
+class CounterTable:
+    """An indexed table of ``bits``-wide saturating counters, all
+    starting at 0 with the default (midpoint) threshold.
+
+    Width, max and threshold are kept once per table; the cells are one
+    ``bytearray`` (``values``), so a table pickles as a single buffer
+    and the batch kernels read and write it in place through
+    ``np.frombuffer``.  Cell ``i`` behaves exactly like a
+    :class:`SaturatingCounter` of the same width.
+    """
+
+    __slots__ = ("bits", "max", "threshold", "values")
+
+    def __init__(self, n_entries: int, bits: int = 2) -> None:
+        self.max, self.threshold = _limits(bits, None)
+        if bits > 8:
+            raise ValueError("packed counters hold at most 8 bits")
+        self.bits = bits
+        self.values = bytearray(n_entries)
+
+    def prediction(self, index: int) -> bool:
+        return self.values[index] >= self.threshold
+
+    def confidence(self, index: int) -> float:
+        return _confidence(self.values[index], self.threshold, self.max)
+
+    def train(self, index: int, outcome: bool) -> None:
+        self.values[index] = _trained(self.values[index], outcome, self.max)
+
+    def reset(self) -> None:
+        self.values = bytearray(len(self.values))
+
+    def __repr__(self) -> str:
+        return f"CounterTable(entries={len(self.values)}, bits={self.bits})"
 
 
 class StickyBit:

@@ -12,12 +12,12 @@ predictors A and C use a 17-bit-history gskew with 1K-entry tables.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.common import bits
 from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
-from repro.predictors.counters import SaturatingCounter
+from repro.predictors.counters import CounterTable
 
 
 class GSkewPredictor(BinaryPredictor):
@@ -37,21 +37,19 @@ class GSkewPredictor(BinaryPredictor):
         bits.ilog2(bank_entries)
         self.counter_bits = counter_bits
         self._history = 0
-        self._banks: List[List[SaturatingCounter]] = [
-            [SaturatingCounter(counter_bits) for _ in range(bank_entries)]
+        self._banks: List[CounterTable] = [
+            CounterTable(bank_entries, counter_bits)
             for _ in range(self.N_BANKS)
         ]
 
-    def _cells(self, pc: int) -> List[SaturatingCounter]:
+    def _cells(self, pc: int) -> List[Tuple[CounterTable, int]]:
         return [
-            self._banks[b][bits.skew_index(pc, self._history, b,
-                                           self.bank_entries)]
-            for b in range(self.N_BANKS)
+            (bank, bits.skew_index(pc, self._history, b, self.bank_entries))
+            for b, bank in enumerate(self._banks)
         ]
 
     def predict(self, pc: int) -> Prediction:
-        votes = [cell.prediction for cell in self._cells(pc)]
-        ayes = sum(votes)
+        ayes = sum(bank.prediction(i) for bank, i in self._cells(pc))
         outcome = ayes >= 2
         # Confidence rises with agreement: unanimous = 1.0, 2-1 split = 0.5.
         confidence = 1.0 if ayes in (0, self.N_BANKS) else 0.5
@@ -62,19 +60,19 @@ class GSkewPredictor(BinaryPredictor):
         # the agreeing banks are reinforced; on a misprediction all banks
         # are retrained toward the actual outcome.
         cells = self._cells(pc)
-        predicted = sum(c.prediction for c in cells) >= 2
-        for cell in cells:
-            if predicted == outcome and cell.prediction != outcome:
+        votes = [bank.prediction(i) for bank, i in cells]
+        predicted = sum(votes) >= 2
+        for (bank, i), vote in zip(cells, votes):
+            if predicted == outcome and vote != outcome:
                 continue  # leave the dissenting bank alone
-            cell.train(outcome)
+            bank.train(i, outcome)
         self._history = bits.shift_history(self._history, outcome,
                                            self.history_bits)
 
     def reset(self) -> None:
         self._history = 0
         for bank in self._banks:
-            for cell in bank:
-                cell.reset()
+            bank.reset()
 
     @property
     def storage_bits(self) -> int:

@@ -82,7 +82,7 @@ from repro.serve.protocol import (
     request_to_wire,
 )
 from repro.serve.ring import HashRing
-from repro.serve.snapshot import load_snapshot, save_snapshot
+from repro.serve.snapshot import SNAPSHOT_SCHEMA, load_snapshot, save_snapshot
 from repro.serve.wal import WriteAheadLog
 
 #: Exit code of a fault-plan kill (mirrors repro.robust.faults).
@@ -587,7 +587,7 @@ class ServeFleet:
         items = list(payload["sessions"].items())
         total = 0
         for i in range(0, len(items), self.RESTORE_CHUNK):
-            chunk = {"schema": payload.get("schema", 1),
+            chunk = {"schema": payload.get("schema"),
                      "sessions": dict(items[i:i + self.RESTORE_CHUNK])}
             total += await self._transient_control(worker,
                                                    ("restore", chunk))
@@ -848,7 +848,7 @@ class ServeFleet:
         for new_name, bundle in moves.items():
             await self._send_restore(
                 self.workers[new_name],
-                {"schema": 1, "sessions": bundle["sessions"]})
+                {"schema": SNAPSHOT_SCHEMA, "sessions": bundle["sessions"]})
             for old_name, session_id in bundle["from"]:
                 evictions.setdefault(old_name, []).append(session_id)
         for old_name, session_ids in evictions.items():

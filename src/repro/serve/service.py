@@ -40,6 +40,7 @@ from repro.serve.protocol import (
     PredictResponse,
 )
 from repro.serve.shard import Shard
+from repro.serve.snapshot import SNAPSHOT_SCHEMA
 
 
 def stable_shard_hash(session_id: str) -> int:
@@ -201,12 +202,18 @@ class PredictionService:
         for shard_sessions in await asyncio.gather(
                 *(shard.control("snapshot") for shard in self.shards)):
             sessions.update(shard_sessions)
-        return {"schema": 1, "sessions": sessions}
+        return {"schema": SNAPSHOT_SCHEMA, "sessions": sessions}
 
     async def restore_payload(self, payload: Dict[str, object]) -> int:
         """Load sessions from :meth:`snapshot_payload` output, routing
         each to its (possibly different) home shard.  Returns the
-        number of sessions restored."""
+        number of sessions restored.  A payload of any other schema
+        raises ``ValueError`` before any session is touched."""
+        schema = payload.get("schema")
+        if schema != SNAPSHOT_SCHEMA:
+            raise ValueError(f"snapshot schema {schema!r} cannot be "
+                             f"restored (this build reads schema "
+                             f"{SNAPSHOT_SCHEMA})")
         sessions = payload["sessions"]
         by_shard: Dict[int, Dict[str, object]] = {}
         for session_id, state in sessions.items():

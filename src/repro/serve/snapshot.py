@@ -16,6 +16,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.parallel.cache import ResultCache, content_key, key_material
 
+#: Version of the ``{"schema", "sessions"}`` payload.  2: predictor
+#: counter tables are packed ``CounterTable`` buffers (schema 1 held one
+#: ``SaturatingCounter`` object per cell and cannot be restored).
+SNAPSHOT_SCHEMA = 2
+
 
 def snapshot_key(label: str) -> Tuple[str, str]:
     """(hex key, material) addressing one labelled snapshot."""

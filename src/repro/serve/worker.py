@@ -173,8 +173,13 @@ async def _worker(host: str, port: int, token: str, name: str) -> int:
                         closed += 1
                 await gate.send(("ctl", closed))
             elif kind == "restore":
-                count = await service.restore_payload(frame[1])
-                await gate.send(("ctl", count))
+                try:
+                    count = await service.restore_payload(frame[1])
+                except ValueError as exc:
+                    await gate.send(("ctl_err",
+                                     f"{type(exc).__name__}: {exc}"))
+                else:
+                    await gate.send(("ctl", count))
             elif kind == "snapshot":
                 # Controls are shard barriers: the payload reflects
                 # every request submitted before this frame.
@@ -184,8 +189,7 @@ async def _worker(host: str, port: int, token: str, name: str) -> int:
                 for i in range(0, len(items), SNAP_CHUNK_SESSIONS):
                     chunk = dict(items[i:i + SNAP_CHUNK_SESSIONS])
                     await gate.send(("snap_part", token, chunk))
-                await gate.send(("snap_done", token,
-                                 payload.get("schema", 1)))
+                await gate.send(("snap_done", token, payload["schema"]))
             elif kind == "ping":
                 await gate.send(("pong",))
             elif kind == "stats":

@@ -7,6 +7,8 @@ afterwards.  Anything weaker would let the vectorized backend silently
 drift the figures.
 """
 
+from repro.cht.barrier import StoreBarrierCache
+from repro.cht.tagless import TaglessCHT
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.chooser import MajorityChooser, WeightedChooser
 from repro.predictors.gshare import GSharePredictor
@@ -15,19 +17,23 @@ from repro.predictors.local import LocalPredictor
 
 
 def predictor_state(predictor):
-    """Full mutable state of a predictor tree, as plain data."""
+    """Full mutable state of a predictor tree or counter-table CHT, as
+    plain data."""
     if isinstance(predictor, BimodalPredictor):
-        return [c.value for c in predictor._table]
+        return list(predictor._table.values)
     if isinstance(predictor, LocalPredictor):
-        return (list(predictor._histories),
-                [c.value for c in predictor._pattern])
+        return (list(predictor._histories), list(predictor._pattern.values))
     if isinstance(predictor, GSharePredictor):
-        return (predictor._history, [c.value for c in predictor._table])
+        return (predictor._history, list(predictor._table.values))
     if isinstance(predictor, GSkewPredictor):
         return (predictor._history,
-                [[c.value for c in bank] for bank in predictor._banks])
+                [list(bank.values) for bank in predictor._banks])
     if isinstance(predictor, (MajorityChooser, WeightedChooser)):
         return [predictor_state(c) for c in predictor.components]
+    if isinstance(predictor, TaglessCHT):
+        return (list(predictor._counters.values), list(predictor._distances))
+    if isinstance(predictor, StoreBarrierCache):
+        return list(predictor._table.values)
     raise TypeError(f"no state extractor for {type(predictor).__name__}")
 
 

@@ -8,15 +8,13 @@ from repro.experiments.cht_accuracy import LoadEvent, replay
 from repro.fastpath.cht import event_arrays, tagless_replay
 from repro.fastpath.tracegen import synthesize_collision_grid
 
+from tests.fastpath.helpers import predictor_state
+
 
 def _events(seed, n=4000):
     pcs, conflicting, collided, distances = synthesize_collision_grid(seed, n)
     return [LoadEvent(pc=pc, conflicting=cf, collided=co, distance=d)
             for pc, cf, co, d in zip(pcs, conflicting, collided, distances)]
-
-
-def _cht_state(cht):
-    return ([c.value for c in cht._counters], list(cht._distances))
 
 
 class TestKernel:
@@ -36,7 +34,7 @@ class TestKernel:
         pcs, _, collided, distances = event_arrays(events)
         got = tagless_replay(vectorized, pcs, collided, distances)
         assert got.tolist() == expected
-        assert _cht_state(vectorized) == _cht_state(reference)
+        assert predictor_state(vectorized) == predictor_state(reference)
 
     def test_distance_sidecar_min_update_and_reset(self):
         # Alternating collide/clear traffic exercises both sidecar
@@ -55,7 +53,7 @@ class TestKernel:
                        np.array([d if co else -1
                                  for co, d in zip(collided, distances)],
                                 dtype=np.int64))
-        assert _cht_state(vectorized) == _cht_state(reference)
+        assert predictor_state(vectorized) == predictor_state(reference)
 
     @pytest.mark.parametrize("batch_size", (1, 13, 4096))
     def test_chunking_is_invisible(self, batch_size):
@@ -67,7 +65,7 @@ class TestKernel:
         got = tagless_replay(vectorized, pcs, collided, distances,
                              batch_size=batch_size)
         assert got.tolist() == expected.tolist()
-        assert _cht_state(vectorized) == _cht_state(reference)
+        assert predictor_state(vectorized) == predictor_state(reference)
 
 
 class TestHarnessDispatch:
@@ -83,7 +81,7 @@ class TestHarnessDispatch:
                                 backend="vectorized")
         assert replay(events, vectorized, warm=warm) \
             == replay(events, reference, warm=warm)
-        assert _cht_state(vectorized) == _cht_state(reference)
+        assert predictor_state(vectorized) == predictor_state(reference)
 
     def test_shared_array_cache_replay_identical(self):
         # The fig9 leaf shares one EventArrayCache across the whole
@@ -97,7 +95,7 @@ class TestHarnessDispatch:
                                     backend="vectorized")
             assert replay(events, vectorized, arrays=shared) \
                 == replay(events, reference)
-            assert _cht_state(vectorized) == _cht_state(reference)
+            assert predictor_state(vectorized) == predictor_state(reference)
 
     def test_reference_backend_takes_scalar_path(self):
         # Sanity: the accuracy object is the same dataclass either way.

@@ -90,7 +90,7 @@ class TestTaglessTrainSemantics:
         looked_up = cht.lookup(0x40)
         assert looked_up.colliding == model.prediction
         if index is not None:
-            assert cht._counters[index].value == model.value
+            assert cht._counters.values[index] == model.value
 
     @given(collision_stream)
     @settings(max_examples=80, deadline=None)

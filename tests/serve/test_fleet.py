@@ -14,9 +14,9 @@ import pytest
 from repro.api import build_predictor, spec_for
 from repro.serve import PredictRequest, ServeConfig
 from repro.serve.batch import apply_step, replay_digest
-from repro.serve.fleet import ServeFleet
+from repro.serve.fleet import FleetError, ServeFleet
 from repro.serve.protocol import ERR_BAD_REQUEST, ERR_CLOSED
-from repro.serve.snapshot import load_snapshot
+from repro.serve.snapshot import load_snapshot, save_snapshot
 
 SPEC = spec_for("binary.gshare", history=7)
 CONFIG = ServeConfig(n_shards=2, max_batch=64, max_delay_us=200,
@@ -209,6 +209,30 @@ def test_router_restart_recovers_sessions_from_disk(tmp_path):
     assert stats["totals"]["sessions"] == len(workload)
     for sid, steps in workload.items():
         assert head[sid] + tail[sid] == _oracle(steps)
+
+
+def test_router_restart_refuses_unknown_snapshot_schema(tmp_path):
+    """A persisted snapshot of an older schema must stop recovery with
+    a FleetError instead of restoring predictors of a stale layout."""
+    async def phase1():
+        async with ServeFleet(n_workers=1, config=CONFIG,
+                              state_dir=str(tmp_path)) as fleet:
+            await fleet.open_session("old", SPEC)
+
+    async def phase2():
+        fleet = ServeFleet(n_workers=1, config=CONFIG,
+                           state_dir=str(tmp_path))
+        try:
+            with pytest.raises(FleetError, match="schema 1"):
+                await fleet.start()
+        finally:
+            await fleet.stop()
+
+    asyncio.run(phase1())
+    save_snapshot(str(tmp_path), "snap-w0", {"schema": 1, "sessions": {
+        "old": {"spec": SPEC.to_json_dict(),
+                "predictor": build_predictor(SPEC), "served": 0}}})
+    asyncio.run(phase2())
 
 
 def test_wal_is_bounded_by_snapshot_truncation(tmp_path):

@@ -1,6 +1,9 @@
 """Durable snapshots through the ResultCache envelope machinery."""
 
 import asyncio
+import pickle
+
+import pytest
 
 from repro.api import spec_for
 from repro.serve import (
@@ -66,3 +69,39 @@ def test_corrupt_snapshot_degrades_to_none(tmp_path):
             count += 1
     assert count > 0
     assert load_snapshot(str(tmp_path), "x") is None
+
+
+def test_unknown_schema_fails_loudly():
+    """A schema-1 payload (one counter object per table cell) must be
+    refused at restore, not unpickled into packed predictors that fail
+    mid-request later."""
+    spec = spec_for("binary.gshare", history=5)
+    stale = {"schema": 1, "sessions": {"s": {
+        "spec": spec.to_json_dict(), "predictor": None, "served": 3}}}
+
+    async def main():
+        async with PredictionService(ServeConfig(n_shards=2)) as service:
+            for payload in (stale, {"sessions": {}}):
+                with pytest.raises(ValueError, match="schema"):
+                    await service.restore_payload(payload)
+            return service.stats()["totals"]["sessions"]
+
+    assert asyncio.run(main()) == 0
+
+
+def test_thousand_gshare_sessions_pickle_small():
+    """Packed tables: 1000 default gshare sessions (2048 two-bit
+    counters each) are a few KB apiece, not one object per cell."""
+    async def capture():
+        config = ServeConfig(n_shards=2, backend="reference")
+        async with PredictionService(config) as service:
+            spec = spec_for("binary.gshare")
+            for i in range(1000):
+                await service.open_session(f"s{i}", spec)
+            return await service.snapshot_payload()
+
+    payload = asyncio.run(capture())
+    assert payload["schema"] == 2
+    assert len(payload["sessions"]) == 1000
+    size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    assert size < 4 * 1024 * 1024, size
