@@ -71,11 +71,7 @@ from repro.bank import (
     make_predictor_c,
     metric,
 )
-from repro.fastpath import (
-    default_backend,
-    set_default_backend,
-    use_backend,
-)
+from repro.fastpath import default_backend
 
 __version__ = "1.0.0"
 
@@ -124,7 +120,5 @@ __all__ = [
     "make_predictor_c",
     "metric",
     "default_backend",
-    "set_default_backend",
-    "use_backend",
     "__version__",
 ]

@@ -17,17 +17,13 @@ The one construction path every consumer shares::
 * :mod:`repro.api.registry` — the kind catalogue (importing this
   package registers every kind);
 * :mod:`repro.api.adapters` — family APIs projected onto the
-  :class:`~repro.common.types.LoadPredictor` protocol;
-* :mod:`repro.api.shims` — deprecated per-class-kwargs factories for
-  out-of-tree callers (in-repo code is warning-clean by CI decree).
+  :class:`~repro.common.types.LoadPredictor` protocol.
 """
 
 from repro.api.policy import (
     ExecutionPolicy,
     INVARIANT_MODES,
     POLICY_BACKENDS,
-    coerce_policy,
-    legacy_policy,
 )
 from repro.api.spec import (
     PredictorSpec,
@@ -52,8 +48,6 @@ __all__ = [
     "ExecutionPolicy",
     "INVARIANT_MODES",
     "POLICY_BACKENDS",
-    "coerce_policy",
-    "legacy_policy",
     "PredictorSpec",
     "RegisteredKind",
     "SERVABLE_FAMILIES",

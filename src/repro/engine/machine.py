@@ -131,15 +131,14 @@ class Machine:
     # ------------------------------------------------------------------
 
     def run(self, trace: Trace, max_cycles: Optional[int] = None,
-            backend: Optional[str] = None, policy=None) -> SimResult:
+            policy=None) -> SimResult:
         """Simulate ``trace`` to completion and return the measurements.
 
-        ``policy`` — a :class:`repro.api.ExecutionPolicy` — selects the
-        engine implementation; its default (``backend="auto"``)
-        resolves through the process-wide
-        :mod:`repro.fastpath.backend` chain (``set_default_backend()``
-        → ``REPRO_BACKEND`` → ``"reference"``): ``"reference"`` is the
-        scalar cycle loop below; ``"vectorized"`` replays the same
+        ``policy`` — a :class:`repro.api.ExecutionPolicy`, default
+        ``ExecutionPolicy()`` — selects the engine implementation
+        (``backend="auto"`` resolves from ``REPRO_BACKEND``, else
+        ``"reference"``).  ``"reference"`` is the scalar cycle loop
+        below; ``"vectorized"`` replays the same
         machine through the event-driven array kernel
         (:mod:`repro.engine.vector`) with bit-identical results,
         falling back to the reference path when numpy is absent or the
@@ -150,10 +149,6 @@ class Machine:
         ``BACKEND_DEGRADE`` event naming the reason, and
         ``self.last_degrade_reason`` records it either way.
 
-        ``backend=`` strings are the deprecated spelling of
-        ``policy=ExecutionPolicy(backend=...)`` and warn
-        (:mod:`repro.api.policy` shims).
-
         Truncation and edge semantics are identical across backends:
         an empty trace finishes at ``cycles == 0`` without touching the
         ceiling; otherwise the simulation raises ``RuntimeError`` (same
@@ -161,33 +156,36 @@ class Machine:
         including mid-squash-replay, where in-flight state is simply
         abandoned.
 
-        With the invariant oracle armed (``policy.check_invariants``,
-        which in ``"auto"`` mode defers to ``REPRO_CHECK_INVARIANTS``),
-        every un-instrumented run is transparently wrapped in the
-        :mod:`repro.robust.invariants` oracle (strict mode) — the CI
-        lever for "the whole suite runs violation-free".  On the
-        vectorized backend the oracle additionally shadow-replays the
-        trace through the scalar path and demands result equality
-        (:class:`repro.engine.vector.BackendMismatch`).
+        With the invariant oracle armed (``policy.invariants_active()``:
+        ``check_invariants="on"``, or ``"auto"`` with
+        ``REPRO_CHECK_INVARIANTS`` set), every un-instrumented run is
+        wrapped in the :mod:`repro.robust.invariants` oracle (strict
+        mode) — the CI lever for "the whole suite runs violation-free".
+        On the vectorized backend the oracle instead shadow-replays the
+        trace through the scalar path under that oracle and demands
+        result equality (:class:`repro.engine.vector.BackendMismatch`).
         """
-        from repro.api.policy import coerce_policy
-        policy = coerce_policy(policy, backend, "Machine.run")
+        if policy is None:
+            from repro.api.policy import ExecutionPolicy
+            policy = ExecutionPolicy()
         self.last_degrade_reason = None
+        check = policy.invariants_active()
         resolved = policy.resolved_backend()
         if resolved == "vectorized":
             from repro.engine import vector
             reason = vector.unsupported_reason(self)
             if reason is None:
+                run = (vector.checked_vectorized_run if check
+                       else vector.run_vectorized)
                 try:
-                    return vector.maybe_checked_run(
-                        self, trace, max_cycles=max_cycles)
+                    return run(self, trace, max_cycles=max_cycles)
                 except vector.VectorUnsupported as exc:
                     reason = str(exc)  # trace not expressible
             self._note_backend_degrade(reason)
         elif policy.backend == "vectorized":  # pragma: no cover
             # Resolution itself degraded (numpy missing).
             self._note_backend_degrade("numpy unavailable")
-        if self.obs is None and policy.invariants_active():
+        if self.obs is None and check:
             # Lazy import: repro.robust imports the engine at module
             # level, so the engine must not import it back eagerly.
             from repro.robust.invariants import checked_run

@@ -13,8 +13,8 @@ through cycle by cycle.
 Bit-identity with the reference backend is the contract (docs/engine.md
 derives why the event order reproduces the scalar scan order exactly);
 ``tests/engine/test_vector.py`` pins it over the scheme × profile
-matrix and :func:`checked_vectorized_run` enforces it at runtime under
-``REPRO_CHECK_INVARIANTS=1``.
+matrix and :func:`checked_vectorized_run` enforces it at runtime when
+the run's policy arms the invariant oracle.
 
 The kernel deliberately supports exactly the surface the figure
 harnesses and the serve tier exercise — the six section-3.1 ordering
@@ -40,7 +40,6 @@ STA/STD execution re-hints the set.
 from __future__ import annotations
 
 import copy
-import os
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple
@@ -65,8 +64,8 @@ class VectorUnsupported(RuntimeError):
 
 class BackendMismatch(AssertionError):
     """The vectorized and reference backends disagreed on a result —
-    raised only by :func:`checked_vectorized_run` (the
-    ``REPRO_CHECK_INVARIANTS=1`` shadow compare).  Always a bug."""
+    raised only by :func:`checked_vectorized_run` (the armed-oracle
+    shadow compare).  Always a bug."""
 
 
 class ArrayMOB:
@@ -386,7 +385,7 @@ def run_vectorized(machine, trace: Trace,
     """Replay ``trace`` on ``machine`` through the array kernel.
 
     Produces a :class:`SimResult` bit-identical to
-    ``machine.run(..., backend="reference")`` — including truncation
+    the reference backend's ``machine.run`` — including truncation
     behaviour: the same ``RuntimeError`` (message and all) is raised
     when the simulation exceeds ``max_cycles``, and an empty trace
     finishes at cycle 0 without raising even for negative ceilings.
@@ -998,12 +997,13 @@ def checked_vectorized_run(machine, trace: Trace,
                            max_cycles: Optional[int] = None) -> SimResult:
     """Run both backends and demand bit-identical results.
 
-    This is the vectorized kernel's hook into the
-    ``REPRO_CHECK_INVARIANTS=1`` contract: the kernel emits no events,
-    so instead of feeding the 13-invariant oracle directly, a deep copy
-    of the machine replays the trace through the *scalar* path under
-    the full oracle, and the kernel's result must equal it field for
-    field.  Any divergence raises :class:`BackendMismatch`.
+    This is the vectorized kernel's hook into the armed-oracle
+    contract (``ExecutionPolicy.invariants_active()``): the kernel
+    emits no events, so instead of feeding the 13-invariant oracle
+    directly, a deep copy of the machine replays the trace through the
+    *scalar* path under the full oracle, and the kernel's result must
+    equal it field for field.  Any divergence raises
+    :class:`BackendMismatch`.
     """
     from repro.fastpath.uoparrays import UnsupportedTrace, trace_arrays
 
@@ -1027,12 +1027,3 @@ def checked_vectorized_run(machine, trace: Trace,
             f"vectorized engine diverged from reference on "
             f"{trace.name!r} ({machine.scheme.name}): {detail}")
     return actual
-
-
-def maybe_checked_run(machine, trace: Trace,
-                      max_cycles: Optional[int] = None) -> SimResult:
-    """Dispatch helper for :meth:`Machine.run`'s vectorized branch:
-    shadow-checked under ``REPRO_CHECK_INVARIANTS``, plain otherwise."""
-    if os.environ.get("REPRO_CHECK_INVARIANTS"):
-        return checked_vectorized_run(machine, trace, max_cycles=max_cycles)
-    return run_vectorized(machine, trace, max_cycles=max_cycles)

@@ -22,9 +22,9 @@ must only be imported behind a :data:`HAS_NUMPY` check — exactly what
 :func:`enabled` is for.
 
 The same backend switch also selects the whole-machine replay kernel:
-``Machine.run(trace, backend=...)`` resolves through
-:func:`resolve_backend` and routes supported runs to the event-driven
-array engine of :mod:`repro.engine.vector` built over the
+``Machine.run(trace, policy=ExecutionPolicy(backend=...))`` resolves
+through :func:`resolve_backend` and routes supported runs to the
+event-driven array engine of :mod:`repro.engine.vector` built over the
 :mod:`repro.fastpath.uoparrays` uop lanes (see ``docs/engine.md``).
 """
 
@@ -33,8 +33,6 @@ from repro.fastpath.backend import (
     HAS_NUMPY,
     default_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "default_backend",
     "enabled",
     "resolve_backend",
-    "set_default_backend",
-    "use_backend",
 ]
 
 

@@ -5,18 +5,21 @@ scalar, pure-Python loops — always available, always authoritative) or
 ``backend="vectorized"`` (numpy batch kernels from :mod:`repro.fastpath`
 that the replay harnesses use to process whole event streams at once).
 
-The default backend is process-wide and resolves, in order, from
-``set_default_backend()`` / :func:`use_backend`, the ``REPRO_BACKEND``
-environment variable, and finally ``"reference"``.  numpy is optional:
-when it is missing the vectorized backend silently degrades to the
-reference loops, so nothing in the repository *requires* numpy.
+This leaf module is also where the ``"auto"`` modes of
+:class:`repro.api.ExecutionPolicy` read the environment, and the only
+place that does: ``backend="auto"`` (and a predictor's ``backend=None``)
+resolves from ``REPRO_BACKEND``, else ``"reference"``;
+``check_invariants="auto"`` arms the shadow oracles when
+``REPRO_CHECK_INVARIANTS`` is set to anything but empty or ``"0"``.
+These are the switches CI and tests use for a whole run.  numpy is
+optional: when it is missing the vectorized backend silently degrades
+to the reference loops, so nothing in the repository *requires* numpy.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 try:  # numpy is an optional accelerator, never a hard dependency
     import numpy  # noqa: F401
@@ -27,8 +30,8 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 BACKENDS = ("reference", "vectorized")
 
-_ENV_VAR = "REPRO_BACKEND"
-_default: Optional[str] = None  # None = not set, fall back to env
+_BACKEND_ENV = "REPRO_BACKEND"
+_INVARIANTS_ENV = "REPRO_CHECK_INVARIANTS"
 
 
 def _validate(name: str) -> str:
@@ -39,31 +42,17 @@ def _validate(name: str) -> str:
 
 
 def default_backend() -> str:
-    """The process-wide default backend name."""
-    if _default is not None:
-        return _default
-    env = os.environ.get(_ENV_VAR)
+    """The backend ``"auto"`` resolves to: ``REPRO_BACKEND``, else
+    ``"reference"``."""
+    env = os.environ.get(_BACKEND_ENV)
     if env:
         return _validate(env)
     return "reference"
 
 
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend."""
-    global _default
-    _default = _validate(name)
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the process-wide default backend."""
-    global _default
-    previous = _default
-    _default = _validate(name)
-    try:
-        yield
-    finally:
-        _default = previous
+def default_invariants() -> bool:
+    """Whether ``check_invariants="auto"`` arms the shadow oracles."""
+    return os.environ.get(_INVARIANTS_ENV, "") not in ("", "0")
 
 
 def resolve_backend(backend: Optional[str]) -> str:

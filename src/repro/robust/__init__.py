@@ -13,7 +13,9 @@ curves that are wrong.  This package is the correctness spine:
   balance, conservation of retired uops, per-scheme guarantees).
   Violations raise a structured :class:`InvariantViolation` carrying the
   recent event window for post-mortem.  Opt in per run with
-  :func:`checked_run`, or globally with ``REPRO_CHECK_INVARIANTS=1``.
+  :func:`checked_run`, or for every ``Machine.run`` through
+  ``ExecutionPolicy(check_invariants="on")`` (``"auto"`` follows
+  ``REPRO_CHECK_INVARIANTS``).
 
 * :mod:`repro.robust.faults` — a deterministic, seeded
   :class:`FaultPlan` plus a library of saboteurs: predictor-output

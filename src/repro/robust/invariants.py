@@ -361,7 +361,10 @@ def checked_run(machine, trace, max_cycles: Optional[int] = None,
         bus = machine.obs
     checker.attach(bus)
     try:
-        result = machine.run(trace, max_cycles=max_cycles)
+        # The scalar loop directly: an attached bus rules out the
+        # vectorized kernel anyway, and re-entering ``machine.run``
+        # would drop the caller's policy and its degrade reason.
+        result = machine._run_reference(trace, max_cycles)
     finally:
         if own_bus:
             for target, previous in saved:

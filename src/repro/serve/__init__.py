@@ -27,7 +27,7 @@ Entry points::
 or from a shell: ``python -m repro.serve serve`` / ``bench``.
 """
 
-from repro.serve.batch import ServeInvariantViolation, invariants_enabled
+from repro.serve.batch import ServeInvariantViolation
 from repro.serve.config import ServeConfig
 from repro.serve.fleet import FleetError, ServeFleet
 from repro.serve.handle import (
@@ -43,7 +43,7 @@ from repro.serve.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.serve.net import JsonlClient, serve_stdio, serve_tcp
+from repro.serve.net import serve_stdio, serve_tcp
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
     ERR_CLOSED,
@@ -68,7 +68,6 @@ __all__ = [
     "ERR_UNKNOWN_SESSION",
     "FleetError",
     "HashRing",
-    "JsonlClient",
     "JsonlHandle",
     "LoadModel",
     "ServeHandle",
@@ -85,7 +84,6 @@ __all__ = [
     "ServeInvariantViolation",
     "WriteAheadLog",
     "build_schedule",
-    "invariants_enabled",
     "run_closed_loop",
     "run_open_loop",
     "load_snapshot",

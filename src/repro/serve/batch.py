@@ -19,14 +19,14 @@ A third path sits in front of both when the shard's
 :class:`~repro.api.ExecutionPolicy` enables it: the hot-trace memoized
 replay (:mod:`repro.fastpath.hottrace`), which answers a recurring
 (state, window) pair from a guarded capture and aborts to the paths
-below on any guard failure.  The ``*_ex`` variants report which path
-answered (``via`` in ``{"scalar", "kernel", "hottrace"}``); the
-two-tuple forms are kept for compatibility and say ``used_kernel``.
+below on any guard failure.  The ``*_ex`` executors report which path
+answered (``via`` in ``{"scalar", "kernel", "hottrace"}``).
 
 The service's correctness invariant is the package-wide one: batched
 results and post-batch predictor state bit-identical to the sequential
-scalar replay of the same per-session request stream.  Under
-``REPRO_CHECK_INVARIANTS=1`` every kernel dispatch is shadowed by a
+scalar replay of the same per-session request stream.  When the
+shard's policy arms the oracle (``ExecutionPolicy.invariants_active()``,
+passed in as ``check``) every kernel dispatch is shadowed by a
 scalar replay on a deep copy and both results and state are compared
 (:class:`ServeInvariantViolation` on any mismatch) — the serving
 counterpart of :mod:`repro.robust`'s engine oracle.  Hot-trace hits
@@ -37,24 +37,15 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import os
 import pickle
 import struct
 from typing import List, Optional, Sequence, Tuple
 
 from repro.serve.protocol import PredictRequest
 
-#: Same switch as the engine oracle (:mod:`repro.robust.invariants`).
-_CHECK_ENV = "REPRO_CHECK_INVARIANTS"
-
 
 class ServeInvariantViolation(AssertionError):
     """A kernel-executed batch diverged from the scalar replay."""
-
-
-def invariants_enabled() -> bool:
-    """Whether ``REPRO_CHECK_INVARIANTS`` arms the batching oracle."""
-    return os.environ.get(_CHECK_ENV, "") not in ("", "0")
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +140,7 @@ def degrade_reason(session, backend: str) -> Optional[str]:
     """Why a vectorized-backend session would execute scalar, or None.
 
     The structured counterpart of the silent fallback inside
-    :func:`execute_step_arrays`: shards use it to count (and emit) a
+    :func:`execute_step_arrays_ex`: shards use it to count (and emit) a
     degrade exactly when a long-enough run lands on the scalar loop
     despite the vectorized backend being requested."""
     if backend != "vectorized":
@@ -163,53 +154,36 @@ def degrade_reason(session, backend: str) -> Optional[str]:
     return None
 
 
-def execute_steps(session, requests: Sequence[PredictRequest],
-                  backend: str, min_kernel_run: int = 8) -> Tuple[List[int], bool]:
-    """Execute one same-session run of ``step`` requests.
-
-    Returns ``(results, used_kernel)``.  The kernel path is taken only
-    when it is exact for this predictor and the run is long enough;
-    under ``REPRO_CHECK_INVARIANTS=1`` it is shadow-checked against
-    :func:`scalar_steps` on a deep copy of the pre-batch state.
-    """
-    results, via = execute_steps_ex(session, requests, backend,
-                                    min_kernel_run)
-    return results, via == VIA_KERNEL
-
-
 def execute_steps_ex(session, requests: Sequence[PredictRequest],
                      backend: str, min_kernel_run: int = 8,
-                     hottrace=None) -> Tuple[List[int], str]:
-    """:func:`execute_steps` reporting the executing path (``via``)."""
+                     hottrace=None, check: bool = False
+                     ) -> Tuple[List[int], str]:
+    """Execute one same-session run of ``step`` requests.
+
+    Returns ``(results, via)``.  The kernel path is taken only when it
+    is exact for this predictor and the run is long enough; with
+    ``check`` it is shadow-checked against :func:`scalar_steps` on a
+    deep copy of the pre-batch state.
+    """
     pcs = [r.pc for r in requests]
     outcomes = [0 if r.outcome is None else int(r.outcome)
                 for r in requests]
     distances = [-1 if r.distance is None else int(r.distance)
                  for r in requests]
     return execute_step_arrays_ex(session, pcs, outcomes, distances,
-                                  backend, min_kernel_run, hottrace)
-
-
-def execute_step_arrays(session, pcs: Sequence[int],
-                        outcomes: Sequence[int],
-                        distances: Sequence[int], backend: str,
-                        min_kernel_run: int = 8
-                        ) -> Tuple[List[int], bool]:
-    """The array-form core of :func:`execute_steps` (``-1`` distance =
-    none) — also the execution path of ``replay`` windows, which arrive
-    as arrays and never materialise per-step request objects."""
-    results, via = execute_step_arrays_ex(session, pcs, outcomes,
-                                          distances, backend,
-                                          min_kernel_run)
-    return results, via == VIA_KERNEL
+                                  backend, min_kernel_run, hottrace, check)
 
 
 def execute_step_arrays_ex(session, pcs: Sequence[int],
                            outcomes: Sequence[int],
                            distances: Sequence[int], backend: str,
                            min_kernel_run: int = 8,
-                           hottrace=None) -> Tuple[List[int], str]:
-    """:func:`execute_step_arrays` with the hot-trace layer in front.
+                           hottrace=None, check: bool = False
+                           ) -> Tuple[List[int], str]:
+    """The array-form core of :func:`execute_steps_ex` (``-1`` distance
+    = none), with the hot-trace layer in front — also the execution
+    path of ``replay`` windows, which arrive as arrays and never
+    materialise per-step request objects.
 
     ``hottrace`` is the shard's :class:`repro.fastpath.hottrace.
     HotTraceEngine` (or None).  A guarded memo hit answers the window
@@ -236,7 +210,6 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
                                    pcs, outcomes, distances)
             via = VIA_SCALAR
         else:
-            check = invariants_enabled()
             shadow = copy.deepcopy(session.predictor) if check else None
 
             from repro.fastpath import batchapi
@@ -309,24 +282,16 @@ def replay_digest(results: Sequence[int]) -> int:
         hashlib.blake2b(packed, digest_size=8).digest(), "big")
 
 
-def execute_replay(session, request: PredictRequest, backend: str,
-                   min_kernel_run: int = 8) -> Tuple[int, int, bool]:
+def execute_replay_ex(session, request: PredictRequest, backend: str,
+                      min_kernel_run: int = 8, hottrace=None,
+                      check: bool = False) -> Tuple[int, int, str]:
     """Execute one ``replay`` request's trace window.
 
-    Returns ``(digest, n_steps, used_kernel)``.  Exactly equivalent to
+    Returns ``(digest, n_steps, via)``.  Exactly equivalent to
     submitting the window as individual ``step`` requests (same kernel
     dispatch rules, same invariant shadow-check via
-    :func:`execute_step_arrays`), but the window is one admission unit:
-    one future, one WAL record, one wire round trip."""
-    digest, n, via = execute_replay_ex(session, request, backend,
-                                       min_kernel_run)
-    return digest, n, via == VIA_KERNEL
-
-
-def execute_replay_ex(session, request: PredictRequest, backend: str,
-                      min_kernel_run: int = 8,
-                      hottrace=None) -> Tuple[int, int, str]:
-    """:func:`execute_replay` reporting the executing path — the op
+    :func:`execute_step_arrays_ex`), but the window is one admission
+    unit: one future, one WAL record, one wire round trip — and the op
     where hot-trace amortization pays most (whole windows arrive
     pre-packed as the exact lanes the memo is keyed on)."""
     pcs = request.pcs or ()
@@ -335,5 +300,5 @@ def execute_replay_ex(session, request: PredictRequest, backend: str,
                  else [-1] * len(pcs))
     results, via = execute_step_arrays_ex(
         session, pcs, outcomes, distances, backend, min_kernel_run,
-        hottrace)
+        hottrace, check)
     return replay_digest(results), len(results), via

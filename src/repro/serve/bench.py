@@ -55,7 +55,7 @@ from typing import Dict, List, Optional
 
 import asyncio
 
-from repro.api import spec_for
+from repro.api import ExecutionPolicy, spec_for
 from repro.common.stats import StreamingHistogram
 from repro.obs.provenance import collect_provenance
 from repro.serve.config import ServeConfig
@@ -95,6 +95,10 @@ def _request_stream(session_id: str, family: str, seed: int):
                              outcome=outcome, distance=distance, seq=seq)
         seq += 1
 
+
+#: The two execution arms every section compares.
+REFERENCE = ExecutionPolicy(backend="reference")
+VECTORIZED = ExecutionPolicy(backend="vectorized")
 
 #: Latency sample rate: 1 request in ``1 << _SAMPLE_SHIFT``.
 _SAMPLE_SHIFT = 4
@@ -208,12 +212,11 @@ async def run_side(label: str, config: ServeConfig, spec_kind: str,
         elapsed = loop.time() - t0
     finally:
         await service.stop()
-    from repro.fastpath.backend import resolve_backend
     stats = service.stats()
     side: Dict[str, object] = {
         "label": label,
-        "requested_backend": config.backend,
-        "effective_backend": resolve_backend(config.backend),
+        "requested_backend": config.policy.backend,
+        "effective_backend": config.policy.resolved_backend(),
         "max_batch": config.max_batch,
         "max_delay_us": config.max_delay_us,
         "n_shards": config.n_shards,
@@ -266,7 +269,7 @@ def run_bench(seconds: float = 10.0, clients: int = 64,
     if sides in ("both", "reference"):
         scalar_config = ServeConfig(
             n_shards=n_shards, max_batch=1, max_delay_us=0,
-            queue_depth=queue_depth, backend="reference")
+            queue_depth=queue_depth, policy=REFERENCE)
         report["sides"]["scalar"] = asyncio.run(run_side(
             "scalar per-request", scalar_config, spec_kind, seconds,
             clients, window, warmup_frac))
@@ -274,7 +277,7 @@ def run_bench(seconds: float = 10.0, clients: int = 64,
         vector_config = ServeConfig(
             n_shards=n_shards, max_batch=max_batch,
             max_delay_us=max_delay_us, queue_depth=queue_depth,
-            backend="vectorized")
+            policy=VECTORIZED)
         report["sides"]["vectorized"] = asyncio.run(run_side(
             "vectorized micro-batching", vector_config, spec_kind,
             seconds, clients, window, warmup_frac))
@@ -289,7 +292,7 @@ def run_bench(seconds: float = 10.0, clients: int = 64,
             dark_config = ServeConfig(
                 n_shards=n_shards, max_batch=max_batch,
                 max_delay_us=max_delay_us, queue_depth=queue_depth,
-                backend="vectorized", telemetry=False)
+                policy=VECTORIZED, telemetry=False)
             rounds = 9
             round_seconds = max(seconds / rounds, 0.05)
             arms = {"on": vector_config, "off": dark_config}
@@ -392,10 +395,10 @@ async def _run_fleet_comparison(workers: int, seconds: float,
 
     worker_config = ServeConfig(
         n_shards=n_shards, max_batch=max_batch,
-        max_delay_us=max_delay_us, backend="vectorized")
+        max_delay_us=max_delay_us, policy=VECTORIZED)
     scalar_config = ServeConfig(
         n_shards=n_shards, max_batch=1, max_delay_us=0,
-        queue_depth=65536, backend="reference")
+        queue_depth=65536, policy=REFERENCE)
 
     def model(rate: float, slice_seconds: float, tag: int) -> LoadModel:
         return LoadModel(
@@ -462,7 +465,7 @@ async def _run_fleet_section(workers: int, seconds: float, clients: int,
 
     worker_config = ServeConfig(
         n_shards=n_shards, max_batch=max_batch,
-        max_delay_us=max_delay_us, backend="vectorized")
+        max_delay_us=max_delay_us, policy=VECTORIZED)
     state_dir = state_dir or tempfile.mkdtemp(prefix="bench-fleet-")
     slice_s = max(seconds / 5.0, 0.2)
 
@@ -646,7 +649,6 @@ async def _run_hottrace_profile(name: str, workers: int,
     the recurrence churn exists to exclude."""
     import dataclasses
 
-    from repro.api import ExecutionPolicy
     from repro.serve.fleet import ServeFleet
     from repro.serve.loadgen import LoadModel
 
@@ -666,19 +668,19 @@ async def _run_hottrace_profile(name: str, workers: int,
             return base_model
         return dataclasses.replace(base_model, seed=seed + 100 + tag)
 
-    config = ServeConfig(n_shards=n_shards, max_batch=1024,
-                         max_delay_us=1000, queue_depth=65536)
     arms: Dict[str, Dict[str, object]] = {}
     policies = {
-        "off": ExecutionPolicy(backend="reference"),
-        "on": ExecutionPolicy(backend="reference", hottrace=True,
-                              hot_threshold=2),
+        "off": REFERENCE,
+        "on": REFERENCE.replace(hottrace=True, hot_threshold=2),
     }
     fleets = {}
     try:
         for arm, policy in policies.items():
+            config = ServeConfig(n_shards=n_shards, max_batch=1024,
+                                 max_delay_us=1000, queue_depth=65536,
+                                 policy=policy)
             fleet = ServeFleet(
-                n_workers=workers, config=config.with_policy(policy),
+                n_workers=workers, config=config,
                 state_dir=os.path.join(state_dir, f"{name}-{arm}"),
                 outstanding_limit=4096, wal_limit=400_000)
             await fleet.start(recover=False)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 from repro.api.policy import ExecutionPolicy
 
@@ -34,14 +33,7 @@ class ServeConfig:
     policy:
         The :class:`repro.api.ExecutionPolicy` every shard executes
         under — backend choice, hot-trace thresholds, invariant mode.
-        Picklable, so it travels verbatim to fleet workers.  ``None``
-        means "derive from the legacy ``backend`` field" (and when that
-        is also ``None``, the process default chain).
-    backend:
-        Deprecated spelling of ``policy.backend``: ``"reference"`` /
-        ``"vectorized"``, ``None`` defers to the process default
-        (:mod:`repro.fastpath.backend`).  Kept as a shim; setting both
-        ``policy`` and ``backend`` is an error.
+        Picklable, so it travels verbatim to fleet workers.
     min_kernel_run:
         Shortest same-session step run worth dispatching to a numpy
         kernel; shorter runs replay through the scalar reference loop
@@ -66,12 +58,11 @@ class ServeConfig:
     max_delay_us: int = 500
     queue_depth: int = 8192
     retry_after_us: int = 1000
-    backend: Optional[str] = None
     min_kernel_run: int = 8
     telemetry: bool = True
     trace_sample_shift: int = 6
     trace_keep: int = 4096
-    policy: Optional[ExecutionPolicy] = None
+    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -84,31 +75,6 @@ class ServeConfig:
             raise ValueError("delays must be non-negative")
         if self.trace_sample_shift < 0:
             raise ValueError("trace_sample_shift must be >= 0")
-        if self.policy is not None and self.backend is not None:
-            raise ValueError(
-                "set either policy= or the deprecated backend=, not both")
-
-    def with_backend(self, backend: Optional[str]) -> "ServeConfig":
-        return replace(self, backend=backend, policy=None)
-
-    def with_policy(self, policy: Optional[ExecutionPolicy]
-                    ) -> "ServeConfig":
-        return replace(self, policy=policy, backend=None)
-
-    def effective_policy(self) -> ExecutionPolicy:
-        """The policy shards execute under.
-
-        ``policy`` verbatim when set; otherwise the pure legacy mapping
-        of the ``backend`` string (``None`` -> ``"auto"``), which is
-        behaviour-identical to the pre-policy resolution chain.
-        """
-        if self.policy is not None:
-            return self.policy
-        return ExecutionPolicy.from_legacy(backend=self.backend)
-
-    def backend_arg(self) -> Optional[str]:
-        """The legacy-style ``backend=`` argument (``None`` = default
-        chain) implied by the effective policy — what predictor
-        construction paths that still speak strings receive."""
-        eff = self.effective_policy()
-        return None if eff.backend == "auto" else eff.backend
+        if not isinstance(self.policy, ExecutionPolicy):
+            raise TypeError(
+                f"policy must be an ExecutionPolicy, got {self.policy!r}")

@@ -172,18 +172,14 @@ class ServeFleet:
                  wal_limit: int = 8192,
                  outstanding_limit: int = 1024,
                  fault_plan=None,
-                 hello_timeout_s: float = 60.0,
-                 policy=None) -> None:
+                 hello_timeout_s: float = 60.0) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         if wal_limit < 1 or outstanding_limit < 1:
             raise ValueError("wal_limit / outstanding_limit must be >= 1")
+        #: Its ExecutionPolicy rides the pickled config frame to every
+        #: worker subprocess.
         self.config = config if config is not None else ServeConfig()
-        if policy is not None:
-            # Same contract as PredictionService(policy=...): the
-            # ExecutionPolicy rides the pickled config frame to every
-            # worker subprocess.
-            self.config = self.config.with_policy(policy)
         self.n_workers = n_workers
         self.state_dir = state_dir or tempfile.mkdtemp(prefix="fleet-")
         os.makedirs(self.state_dir, exist_ok=True)
@@ -974,9 +970,8 @@ class ServeFleet:
                     "outstanding_limit": self.outstanding_limit,
                     "serve": {"n_shards": self.config.n_shards,
                               "max_batch": self.config.max_batch,
-                              "backend": self.config.backend,
-                              "policy": self.config.effective_policy()
-                                            .to_json_dict()},
+                              "policy":
+                                  self.config.policy.to_json_dict()},
                 },
                 "totals": totals, "workers": per_worker}
 

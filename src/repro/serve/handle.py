@@ -1,10 +1,9 @@
 """ServeHandle: one client interface for every deployment topology.
 
-Before this module the repo had two client entry points — in-process
-submission against a :class:`~repro.serve.service.PredictionService` /
-:class:`~repro.serve.fleet.ServeFleet` object, and the line-at-a-time
-:class:`~repro.serve.net.JsonlClient` for the TCP transport — and
-bench/loadgen/tests each picked one by hand.  :class:`ServeHandle` is
+Clients reach the service in-process (a
+:class:`~repro.serve.service.PredictionService` /
+:class:`~repro.serve.fleet.ServeFleet` object) or over the JSONL TCP
+transport (:mod:`repro.serve.net`).  :class:`ServeHandle` is
 the shared protocol (structural, ``runtime_checkable``): anything that
 can open sessions, submit data requests as futures, and await
 responses.  The service and the fleet already satisfy it natively;
@@ -59,14 +58,12 @@ class ServeHandle(Protocol):
 
 
 class JsonlHandle:
-    """A pipelined JSONL TCP client speaking the :class:`ServeHandle`
-    protocol.
+    """The JSONL TCP client, speaking the :class:`ServeHandle` protocol.
 
-    Unlike :class:`~repro.serve.net.JsonlClient` (one in-flight
-    round trip, caller-managed correlation), the handle keeps any
-    number of requests in flight: responses come back in completion
-    order and are matched to their futures by ``(session_id, seq)`` —
-    per-key FIFO, matching the service's per-session admission-order
+    It keeps any number of requests in flight (``await request(...)``
+    is one round trip): responses come back in completion order and
+    are matched to their futures by ``(session_id, seq)`` — per-key
+    FIFO, matching the service's per-session admission-order
     guarantee.
     """
 

@@ -67,12 +67,8 @@ class PredictionService:
     """Sharded, micro-batching prediction service (module docstring)."""
 
     def __init__(self, config: Optional[ServeConfig] = None,
-                 obs=None, policy=None) -> None:
+                 obs=None) -> None:
         self.config = config if config is not None else ServeConfig()
-        if policy is not None:
-            # Convenience: ExecutionPolicy accepted directly, without
-            # the caller spelling out a config replace.
-            self.config = self.config.with_policy(policy)
         self.obs = obs
         #: Per-request span tracer (``None`` when telemetry is off).
         #: Spans are minted here for in-process callers and at protocol
@@ -241,9 +237,7 @@ class PredictionService:
                     "max_batch": self.config.max_batch,
                     "max_delay_us": self.config.max_delay_us,
                     "queue_depth": self.config.queue_depth,
-                    "backend": self.config.backend,
-                    "policy": self.config.effective_policy()
-                                         .to_json_dict(),
+                    "policy": self.config.policy.to_json_dict(),
                 },
                 "totals": totals, "shards": per_shard}
 

@@ -1,7 +1,7 @@
 """The vectorized machine backend: bit-identity, routing, fallback.
 
 The contract under test is ``docs/engine.md``'s: for every supported
-configuration, ``Machine.run(trace, backend="vectorized")`` produces a
+configuration, ``Machine.run(trace, policy=VEC)`` produces a
 ``SimResult`` whose ``to_dict()`` equals the reference backend's — and
 every unsupported configuration silently falls back to the scalar
 path, so the switch can never change results, only speed.
@@ -21,29 +21,29 @@ from repro.engine.ordering import (
 from repro.engine.results import SimResult
 from repro.experiments.harness import get_trace
 from repro.fastpath import HAS_NUMPY
-from repro.fastpath.backend import use_backend
 from tests.engine.helpers import MicroTrace
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY,
                                  reason="vectorized kernel needs numpy")
 
+REF = ExecutionPolicy(backend="reference")
+VEC = ExecutionPolicy(backend="vectorized")
+
 
 def run_both(mk_machine, trace, max_cycles=None):
     """(reference, vectorized) results for the same machine recipe."""
-    ref = mk_machine().run(trace, max_cycles=max_cycles,
-                           backend="reference")
-    vec = mk_machine().run(trace, max_cycles=max_cycles,
-                           backend="vectorized")
+    ref = mk_machine().run(trace, max_cycles=max_cycles, policy=REF)
+    vec = mk_machine().run(trace, max_cycles=max_cycles, policy=VEC)
     return ref, vec
 
 
 def outcome_both(mk_machine, trace, max_cycles):
     """Result dict or the RuntimeError string, per backend."""
     out = []
-    for backend in ("reference", "vectorized"):
+    for policy in (REF, VEC):
         try:
             out.append(mk_machine().run(trace, max_cycles=max_cycles,
-                                        backend=backend).to_dict())
+                                        policy=policy).to_dict())
         except RuntimeError as exc:
             out.append(str(exc))
     return out
@@ -144,7 +144,7 @@ class TestTruncationAndEdges:
                            match=r"simulation exceeded 3 cycles on "
                                  r"'gcc' \(\d+ uops stuck in flight\)"):
             Machine(scheme=make_scheme("traditional")).run(
-                trace, max_cycles=3, backend="vectorized")
+                trace, max_cycles=3, policy=VEC)
 
 
 class TestRoutingAndFallback:
@@ -158,7 +158,7 @@ class TestRoutingAndFallback:
         monkeypatch.setattr(vector, "run_vectorized", boom)
         trace = MicroTrace().alu(dst=1).build("one")
         result = Machine(scheme=make_scheme("traditional")).run(
-            trace, backend="reference")
+            trace, policy=REF)
         assert result.retired_uops == 1
 
     @needs_numpy
@@ -178,21 +178,6 @@ class TestRoutingAndFallback:
         Machine(scheme=make_scheme("traditional")).run(trace)
         assert calls == ["one"]
 
-    @needs_numpy
-    def test_use_backend_context_routes(self, monkeypatch):
-        from repro.engine import vector
-        calls = []
-        real = vector.run_vectorized
-        monkeypatch.setattr(
-            vector, "run_vectorized",
-            lambda m, t, max_cycles=None: (calls.append(t.name)
-                                           or real(m, t,
-                                                   max_cycles=max_cycles)))
-        trace = MicroTrace().alu(dst=1).build("one")
-        with use_backend("vectorized"):
-            Machine(scheme=make_scheme("traditional")).run(trace)
-        assert calls == ["one"]
-
     def test_unsupported_machine_falls_back(self):
         from repro.engine import vector
         m = Machine(scheme=make_scheme("traditional"))
@@ -201,9 +186,25 @@ class TestRoutingAndFallback:
         trace = MicroTrace().alu(dst=1).build("one")
         # Still runs (scalar path) even when vectorized is requested,
         # and the degrade is recorded instead of silent.
-        result = m.run(trace, policy=ExecutionPolicy(backend="vectorized"))
+        result = m.run(trace, policy=VEC)
         assert result.retired_uops == 1 and result.timeline is not None
         assert m.last_degrade_reason is not None
+
+    @pytest.mark.parametrize("env_backend", ["reference", "vectorized"])
+    def test_degrade_reason_survives_the_armed_oracle(self, monkeypatch,
+                                                      env_backend):
+        # The oracle wraps the scalar fallback in checked_run, which
+        # attaches an event bus; the recorded reason must still name
+        # the caller's configuration, not the oracle's bus, whatever
+        # REPRO_BACKEND says.
+        monkeypatch.setenv("REPRO_BACKEND", env_backend)
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        m = Machine(scheme=make_scheme("traditional"))
+        m.record_timeline = True
+        trace = MicroTrace().alu(dst=1).build("one")
+        result = m.run(trace, policy=VEC)
+        assert result.retired_uops == 1 and result.timeline is not None
+        assert "timeline" in m.last_degrade_reason
 
     def test_scheme_subclass_falls_back(self):
         from repro.engine import vector
@@ -262,9 +263,34 @@ class TestCheckedRun:
                                                    max_cycles=max_cycles)))
         trace = get_trace("gcc", 400)
         result = Machine(scheme=make_scheme("traditional")).run(
-            trace, backend="vectorized")
+            trace, policy=VEC)
         assert calls == ["gcc"]
         assert isinstance(result, SimResult)
+
+    @pytest.mark.parametrize("mode,env,armed", [
+        ("on", None, True),    # the policy arms it without the env var
+        ("off", "1", False),   # ... and disarms it despite the env var
+        ("auto", "0", False),  # "0" is off, not a truthy string
+        ("auto", "1", True),
+    ])
+    def test_policy_owns_the_shadow_check(self, monkeypatch, mode, env,
+                                          armed):
+        from repro.engine import vector
+        if env is None:
+            monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CHECK_INVARIANTS", env)
+        calls = []
+        real = vector.checked_vectorized_run
+        monkeypatch.setattr(
+            vector, "checked_vectorized_run",
+            lambda m, t, max_cycles=None: (calls.append(t.name)
+                                           or real(m, t,
+                                                   max_cycles=max_cycles)))
+        trace = get_trace("gcc", 400)
+        Machine(scheme=make_scheme("traditional")).run(
+            trace, policy=VEC.replace(check_invariants=mode))
+        assert calls == (["gcc"] if armed else [])
 
     def test_lying_kernel_is_caught(self, monkeypatch):
         from repro.engine import vector

@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from repro.fastpath import use_backend
 from repro.trace.streams import (
     HotColdStream,
     PointerChaseStream,
@@ -103,12 +102,13 @@ class TestRngConsumingStreamsStayScalar:
         assert rng_vec.random() == rng_ref.random()
 
 
-def test_default_backend_controls_materialize():
+def test_default_backend_controls_materialize(monkeypatch):
     rng = random.Random(0)
     stream = STRIDES["unit"]()
     expected = [stream.next(rng) for _ in range(64)]
     stream.reset()
-    with use_backend("vectorized"):
-        assert stream.materialize(64, rng) == expected
+    monkeypatch.setenv("REPRO_BACKEND", "vectorized")
+    assert stream.materialize(64, rng) == expected
     stream.reset()
+    monkeypatch.delenv("REPRO_BACKEND")
     assert stream.materialize(64, rng) == expected  # reference default

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.api import build_predictor, spec_for
+from repro.api import ExecutionPolicy, build_predictor, spec_for
 from repro.serve import PredictionService, PredictRequest, ServeConfig
 from repro.serve.batch import apply_step
 
@@ -93,7 +93,8 @@ def test_concurrent_equals_sequential_across_restore(backend):
         results = {sid: [] for sid in SESSION_SPECS}
         half = STEPS_PER_SESSION // 2
         config = ServeConfig(n_shards=3, max_batch=128, max_delay_us=300,
-                             backend=backend, min_kernel_run=4)
+                             min_kernel_run=4,
+                             policy=ExecutionPolicy(backend=backend))
         async with PredictionService(config) as service:
             for sid, spec in SESSION_SPECS.items():
                 await service.open_session(sid, spec)
@@ -104,7 +105,8 @@ def test_concurrent_equals_sequential_across_restore(backend):
         # Second half continues on a *different* topology from the
         # restored snapshot.
         config2 = ServeConfig(n_shards=2, max_batch=64, max_delay_us=200,
-                              backend=backend, min_kernel_run=4)
+                              min_kernel_run=4,
+                              policy=ExecutionPolicy(backend=backend))
         async with PredictionService(config2) as service:
             await service.restore_payload(payload)
             second = {sid: reqs[half:] for sid, reqs in workloads.items()}

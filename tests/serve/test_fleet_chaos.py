@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from repro.api import build_predictor, spec_for
+from repro.api import ExecutionPolicy, build_predictor, spec_for
 from repro.robust.faults import FleetFaultPlan
 from repro.serve import PredictRequest, ServeConfig
 from repro.serve.batch import apply_step
@@ -33,7 +33,8 @@ from repro.serve.snapshot import load_snapshot
 
 SPEC = spec_for("binary.gshare", history=7)
 CONFIG = ServeConfig(n_shards=2, max_batch=64, max_delay_us=200,
-                     backend="vectorized", min_kernel_run=4)
+                     min_kernel_run=4,
+                     policy=ExecutionPolicy(backend="vectorized"))
 
 
 def _steps(seed, n):

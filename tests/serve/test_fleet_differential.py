@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.api import build_predictor, spec_for
+from repro.api import ExecutionPolicy, build_predictor, spec_for
 from repro.serve import PredictionService, PredictRequest, ServeConfig
 from repro.serve.batch import apply_step, replay_digest
 from repro.serve.fleet import ServeFleet
@@ -89,7 +89,8 @@ def test_fleet_stream_equals_single_process_and_scalar_replay(
     expected = {sid: _sequential_reference(sid, reqs)
                 for sid, reqs in workloads.items()}
     config = ServeConfig(n_shards=2, max_batch=96, max_delay_us=300,
-                         backend=backend, min_kernel_run=4)
+                         min_kernel_run=4,
+                         policy=ExecutionPolicy(backend=backend))
 
     async def run_single():
         rng = random.Random(42)
@@ -137,7 +138,8 @@ def test_replay_digests_agree_single_vs_fleet(backend, tmp_path):
             for pc, outcome in zip(pcs, outcomes)])
 
     config = ServeConfig(n_shards=2, max_batch=64, max_delay_us=200,
-                         backend=backend, min_kernel_run=8)
+                         min_kernel_run=8,
+                         policy=ExecutionPolicy(backend=backend))
 
     async def run(service_factory):
         async with service_factory() as service:

@@ -1,6 +1,8 @@
 """The serving invariant oracle: kernel divergence must be caught.
 
-Under ``REPRO_CHECK_INVARIANTS=1`` every kernel-executed run is
+When the shard's ExecutionPolicy arms the oracle
+(``check_invariants="on"``, or ``"auto"`` with
+``REPRO_CHECK_INVARIANTS`` set) every kernel-executed run is
 shadow-replayed scalar on a copy of the pre-batch predictor; both the
 results and the post-run predictor state must match bit-for-bit.  These
 tests prove the oracle *fails* when the kernel misbehaves — an oracle
@@ -11,12 +13,12 @@ import asyncio
 
 import pytest
 
-from repro.api import spec_for
+from repro.api import ExecutionPolicy, spec_for
 from repro.serve import PredictRequest, PredictionService, ServeConfig
 from repro.serve.batch import (
+    VIA_KERNEL,
     ServeInvariantViolation,
-    execute_steps,
-    invariants_enabled,
+    execute_steps_ex,
 )
 from repro.serve.session import Session
 
@@ -28,22 +30,12 @@ def _requests(n=32):
                            outcome=i % 2, seq=i) for i in range(n)]
 
 
-def test_invariants_enabled_env(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-    assert not invariants_enabled()
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
-    assert not invariants_enabled()
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-    assert invariants_enabled()
-
-
-def test_clean_kernel_passes_under_invariants(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+def test_clean_kernel_passes_under_invariants():
     session = Session("s", spec_for("hmp.local", size=64, history=2),
                       backend="vectorized")
-    results, used_kernel = execute_steps(session, _requests(),
-                                         "vectorized", min_kernel_run=4)
-    assert used_kernel
+    results, via = execute_steps_ex(session, _requests(), "vectorized",
+                                    min_kernel_run=4, check=True)
+    assert via == VIA_KERNEL
     assert len(results) == 32
 
 
@@ -56,13 +48,12 @@ def test_corrupted_results_raise(monkeypatch):
         out[5] ^= 1  # flip one prediction
         return out
 
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     monkeypatch.setattr(batchapi, "replay_steps", lying_kernel)
     session = Session("s", spec_for("hmp.local", size=64, history=2),
                       backend="vectorized")
     with pytest.raises(ServeInvariantViolation, match="index 5"):
-        execute_steps(session, _requests(), "vectorized",
-                      min_kernel_run=4)
+        execute_steps_ex(session, _requests(), "vectorized",
+                         min_kernel_run=4, check=True)
 
 
 def test_corrupted_state_raises(monkeypatch):
@@ -74,13 +65,12 @@ def test_corrupted_state_raises(monkeypatch):
         predictor.update(0x9999, False)  # extra, unreplayed training
         return out
 
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     monkeypatch.setattr(batchapi, "replay_steps", state_scrambling_kernel)
     session = Session("s", spec_for("hmp.local", size=64, history=2),
                       backend="vectorized")
     with pytest.raises(ServeInvariantViolation, match="state"):
-        execute_steps(session, _requests(), "vectorized",
-                      min_kernel_run=4)
+        execute_steps_ex(session, _requests(), "vectorized",
+                         min_kernel_run=4, check=True)
 
 
 def test_divergence_surfaces_in_band_not_fatally(monkeypatch):
@@ -91,12 +81,11 @@ def test_divergence_surfaces_in_band_not_fatally(monkeypatch):
     def broken_kernel(family, predictor, pcs, outcomes, extras):
         raise ServeInvariantViolation("synthetic divergence")
 
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     monkeypatch.setattr(batchapi, "replay_steps", broken_kernel)
 
     async def main():
-        config = ServeConfig(n_shards=1, backend="vectorized",
-                             min_kernel_run=4)
+        config = ServeConfig(n_shards=1, min_kernel_run=4,
+                             policy=ExecutionPolicy(backend="vectorized"))
         async with PredictionService(config) as service:
             await service.open_session("s", spec_for("hmp.local",
                                                      size=64))
@@ -110,3 +99,44 @@ def test_divergence_surfaces_in_band_not_fatally(monkeypatch):
                 "s", op="predict", pc=0x40))
             assert ping.ok
     asyncio.run(main())
+
+
+@pytest.mark.parametrize("mode,env,armed", [
+    ("on", None, True),    # the policy arms it without the env var
+    ("off", "1", False),   # ... and disarms it despite the env var
+    ("auto", "0", False),  # "0" is off, not a truthy string
+    ("auto", "1", True),
+])
+def test_policy_owns_the_kernel_batch_oracle(monkeypatch, mode, env,
+                                             armed):
+    """The shard arms the shadow check from its policy alone: a lying
+    kernel is caught exactly when the policy says the oracle is on."""
+    from repro.fastpath import batchapi
+    real = batchapi.replay_steps
+
+    def lying_kernel(family, predictor, pcs, outcomes, extras):
+        out = numpy.array(real(family, predictor, pcs, outcomes, extras))
+        out[5] ^= 1
+        return out
+
+    if env is None:
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", env)
+    monkeypatch.setattr(batchapi, "replay_steps", lying_kernel)
+    policy = ExecutionPolicy(backend="vectorized", check_invariants=mode)
+
+    async def main():
+        config = ServeConfig(n_shards=1, min_kernel_run=4, policy=policy)
+        async with PredictionService(config) as service:
+            await service.open_session("s", spec_for("hmp.local",
+                                                     size=64))
+            return await asyncio.gather(*[
+                service.submit(r) for r in _requests(16)])
+
+    responses = asyncio.run(main())
+    if armed:
+        assert all(not r.ok and "ServeInvariantViolation" in r.error
+                   for r in responses)
+    else:
+        assert all(r.ok for r in responses)

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.api import spec_for
+from repro.api import ExecutionPolicy, spec_for
 from repro.serve import (
     PredictRequest,
     PredictionService,
@@ -93,7 +93,8 @@ def test_thousand_gshare_sessions_pickle_small():
     """Packed tables: 1000 default gshare sessions (2048 two-bit
     counters each) are a few KB apiece, not one object per cell."""
     async def capture():
-        config = ServeConfig(n_shards=2, backend="reference")
+        config = ServeConfig(n_shards=2,
+                             policy=ExecutionPolicy(backend="reference"))
         async with PredictionService(config) as service:
             spec = spec_for("binary.gshare")
             for i in range(1000):
